@@ -208,7 +208,6 @@ func run(cfg config) error {
 		return err
 	}
 	var ctrl *reconcile.Controller
-	var drift server.DriftProvider
 	if cfg.watch {
 		path := cfg.driftStore
 		if path == "" {
@@ -225,7 +224,6 @@ func run(cfg config) error {
 		if err != nil {
 			return err
 		}
-		drift = ctrl
 	}
 
 	// Request contexts derive from baseCtx: cancelling it after a failed
@@ -238,7 +236,7 @@ func run(cfg config) error {
 			Registry:     registry,
 			Logger:       logger,
 			Pprof:        cfg.pprof,
-			Drift:        drift,
+			Drift:        ctrl,
 			Domains:      domainIDs,
 			Campaigns:    cfg.campaigns,
 			BatchWorkers: cfg.batchWorkers,

@@ -1,13 +1,14 @@
 // Package campaign is the coverage-guided, distributed metamorphic
-// campaign engine layered on internal/metamorph. Where metamorph.Run
-// draws mutators uniformly and reports raw invariant violations, a
-// campaign closes the loop the way coverage-guided fuzzers do: each
-// round is summarized into a cheap coverage key (mutators applied ×
-// invariants stressed × analysis-shape counter deltas × diff root keys),
-// rounds that discover new keys boost the energy of the mutators that
-// produced them (barren rounds decay it), and every violation is triaged — minimized to its
-// smallest reproducing mutation trace and deduplicated by a stable
-// fingerprint — instead of dumped raw.
+// campaign engine layered on internal/metamorph, and the only runner of
+// its invariants. A campaign closes the loop the way coverage-guided
+// fuzzers do: each round is summarized into a cheap coverage key
+// (mutators applied × invariants stressed × analysis-shape counter
+// deltas × diff root keys), rounds that discover new keys boost the
+// energy of the mutators that produced them (barren rounds decay it),
+// and every violation is triaged — minimized to its smallest
+// reproducing mutation trace and deduplicated by a stable fingerprint —
+// instead of dumped raw. Options.Uniform freezes the energies, the
+// uniform-draw control arm the guided schedule is measured against.
 //
 // Determinism is structural: a campaign is divided into fixed-size
 // shards, and each shard is an independent, fully sequential feedback
@@ -57,11 +58,13 @@ type Options struct {
 	// The A/B fallback the guided schedule is measured against.
 	Uniform bool
 	// Oracle overrides extraction semantics (nil means
-	// oracle.DefaultOptions); the same soundness constraints as
-	// metamorph.CampaignOptions apply (narrow events, unlimited depth).
+	// oracle.DefaultOptions); metamorph.ValidateOracle rejects the ones
+	// the mutator catalog is unsound under (broad events, bounded
+	// MaxDepth). Parallel, Telemetry and Summaries are controlled by the
+	// campaign itself.
 	Oracle *oracle.Options
-	// ParallelEvery / IncrementalEvery sample invariants (c)/(e) every
-	// Nth round, as in metamorph.CampaignOptions; 0 means every 8th,
+	// ParallelEvery / IncrementalEvery sample invariants (c)/(e) — see
+	// metamorph.CheckExtracted — every Nth round; 0 means every 8th,
 	// < 0 disables.
 	ParallelEvery    int
 	IncrementalEvery int
@@ -241,8 +244,7 @@ func (e *Engine) Shards() int {
 }
 
 // shardSeed decorrelates per-shard RNG streams drawn from one campaign
-// seed (odd-constant spacing, like metamorph's roundSeed but with a
-// distinct multiplier so shard streams never alias round streams).
+// seed (splitmix64-style odd-constant spacing).
 func shardSeed(seed int64, shard int) int64 {
 	return seed + int64(shard+1)*0x2545f4914f6cdd1d
 }

@@ -16,6 +16,7 @@ package gen
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"policyoracle/internal/corpus"
@@ -483,7 +484,13 @@ func buildSpec(p Params, rng *rand.Rand, prof *domainProfile) []*classSpec {
 	plant(WeakenMust, p.WeakenMust, mustPattern)
 	plant(SwapCheck, p.SwapCheck, anyChecked)
 	plant(PrivWrap, p.PrivWrap, mustPattern)
-	plant(ExtraCheck, p.ExtraCheck, anyChecked)
+	plant(ExtraCheck, p.ExtraCheck, func(ms *methodSpec) bool {
+		// A MUST pattern emits extraCheck(checks[0]) unconditionally next
+		// to its own checks; when that check is already one of them (a
+		// pMustTwo whose second check collides) the policy is unchanged
+		// and the seeded deviation could never be reported.
+		return anyChecked(ms) && !(mustPattern(ms) && slices.Contains(ms.checks, prof.extraCheck(ms.checks[0])))
+	})
 
 	// Constant-guard twins: convert the next ConstGuards checked methods to
 	// the Figure 4 pattern (identical across libraries, FP-prone sans ICP).

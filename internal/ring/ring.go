@@ -160,3 +160,23 @@ func (r *Ring) Without(m string) *Ring {
 	}
 	return New(rest, r.vnodes)
 }
+
+// BaseURL turns a member string into the base URL requests to that
+// replica are built on: a member that already carries a scheme
+// ("http://…", "https://…") is used as is, and a bare host:port —
+// including a bracketed IPv6 "[::1]:8075" — gets "http://" prepended.
+// The member string itself stays the ring identity.
+func BaseURL(member string) string {
+	for i := 0; i < len(member); i++ {
+		switch {
+		case member[i] == ':':
+			if i+2 < len(member) && member[i+1] == '/' && member[i+2] == '/' {
+				return member
+			}
+			return "http://" + member
+		case member[i] == '/' || member[i] == '.':
+			return "http://" + member
+		}
+	}
+	return "http://" + member
+}

@@ -166,3 +166,22 @@ func BenchmarkOwner(b *testing.B) {
 		_ = r.Owner(ks[rng.Intn(len(ks))])
 	}
 }
+
+// BaseURL prefixes bare member addresses with http:// and passes
+// members that already carry a scheme through unchanged.
+func TestBaseURL(t *testing.T) {
+	for _, tc := range []struct{ member, want string }{
+		{"host:8075", "http://host:8075"},
+		{"127.0.0.1:8075", "http://127.0.0.1:8075"},
+		{"[::1]:8075", "http://[::1]:8075"},
+		{"host.example:80", "http://host.example:80"},
+		{"localhost", "http://localhost"},
+		{"http://host:8075", "http://host:8075"},
+		{"https://host.example:443", "https://host.example:443"},
+		{"http://[::1]:8075", "http://[::1]:8075"},
+	} {
+		if got := BaseURL(tc.member); got != tc.want {
+			t.Errorf("BaseURL(%q) = %q, want %q", tc.member, got, tc.want)
+		}
+	}
+}

@@ -192,6 +192,19 @@ func (s *Server) handleCampaignPost(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) runCampaignJob(j *campaignJob, e *campaign.Engine, shard int) {
 	res, err := e.RunShard(shard)
+	if err == nil {
+		// Persist before the result becomes visible, so a client that
+		// has seen the job done never races the write.
+		buf, merr := json.Marshal(res)
+		if merr == nil {
+			_, merr = s.st.SaveCampaign(j.id, append(buf, '\n'))
+		}
+		if merr != nil {
+			// Persistence is best-effort bookkeeping; the client gets the
+			// result from the poll either way.
+			s.log.Error("campaign shard persist failed", "job", j.id, "err", merr)
+		}
+	}
 	j.mu.Lock()
 	if err != nil {
 		j.status = campaign.StatusFailed
@@ -204,15 +217,6 @@ func (s *Server) runCampaignJob(j *campaignJob, e *campaign.Engine, shard int) {
 	if err != nil {
 		s.log.Error("campaign shard failed", "job", j.id, "shard", shard, "err", err)
 		return
-	}
-	buf, merr := json.Marshal(res)
-	if merr == nil {
-		_, merr = s.st.SaveCampaign(j.id, append(buf, '\n'))
-	}
-	if merr != nil {
-		// Persistence is best-effort bookkeeping; the client gets the
-		// result from the poll either way.
-		s.log.Error("campaign shard persist failed", "job", j.id, "err", merr)
 	}
 	s.log.Info("campaign shard done", "job", j.id, "shard", shard,
 		"rounds", res.Rounds, "keys", len(res.Keys), "crashers", len(res.Crashers))

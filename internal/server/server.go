@@ -113,23 +113,6 @@ var codeMessages = map[string]string{
 	CodeBatchTooLarge:     "the batch carries more items than the per-request cap",
 }
 
-// DriftProvider is the reconcile-controller surface the drift endpoints
-// serve from; *reconcile.Controller implements it. An interface so tests
-// can stub it and so the server compiles the watch feature out to a 501
-// when polorad runs without -watch.
-type DriftProvider interface {
-	// Enqueue marks a library as needing reconciliation (called after
-	// every successful PUT).
-	Enqueue(name string)
-	// Timeline snapshots the newest limit entries (all when limit <= 0).
-	Timeline(limit int) reconcile.TimelineWire
-	// Pairs lists the latest status of every observed pair.
-	Pairs() []*reconcile.PairStatus
-	// Pair returns one pair's latest status including the reconciled diff
-	// report; reconcile.ErrUnknownPair when never observed.
-	Pair(ctx context.Context, key string) (*reconcile.PairStatus, error)
-}
-
 // Options configures the optional subsystems of a Server.
 type Options struct {
 	// Registry is the metrics registry /metricsz exposes. Nil allocates a
@@ -146,7 +129,7 @@ type Options struct {
 	// Drift connects the reconcile controller: PUTs enqueue
 	// reconciliation and /v1/drift serves its timeline. Nil (no -watch)
 	// answers drift queries with 501 watch_disabled.
-	Drift DriftProvider
+	Drift *reconcile.Controller
 	// Domains restricts the check domains this server accepts (polorad
 	// -domains): uploads and domain assertions naming a domain outside
 	// the list fail with the stable unknown_domain code. Empty serves
@@ -173,7 +156,7 @@ type Server struct {
 	hm           *telemetry.HTTPMetrics
 	bm           *telemetry.BatchMetrics
 	log          *slog.Logger
-	drift        DriftProvider
+	drift        *reconcile.Controller
 	domains      map[string]bool // nil = every registered domain
 	campaigns    *campaignRunner // nil = campaigns disabled
 	batchWorkers int
