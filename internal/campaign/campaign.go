@@ -125,7 +125,8 @@ type Crasher struct {
 	RootKeys    []string `json:"root_keys,omitempty"`
 	// Detail is the normalized violation detail the fingerprint hashes.
 	Detail string `json:"detail"`
-	// FirstRound is the campaign round that first hit this fingerprint.
+	// FirstRound is the campaign round that first hit this fingerprint;
+	// -1 for a violation of the unmutated baseline.
 	FirstRound int `json:"first_round"`
 	// Seen counts raw violations folded into this crasher.
 	Seen int `json:"seen"`
@@ -197,10 +198,16 @@ type Engine struct {
 	serial  oracle.Options
 	base    *oracle.Library
 	muts    []metamorph.Mutator
+	// baseline holds the violations of the unmutated baseline, as
+	// crashers of round -1 with an empty trace; Merge reports them.
+	baseline []*Crasher
 }
 
-// NewEngine validates options, parses the bundle, and extracts the
-// baseline once.
+// NewEngine validates options, parses the bundle, extracts the baseline
+// once, and checks the invariants on the unmutated baseline: a baseline
+// that itself breaks MUST ⊆ MAY or the export round trip would
+// otherwise go unreported, because rounds only check mutants against
+// it.
 func NewEngine(name string, sources map[string]string, opts Options) (*Engine, error) {
 	opts = opts.withDefaults()
 	serial := oracle.DefaultOptions()
@@ -221,17 +228,31 @@ func NewEngine(name string, sources map[string]string, opts Options) (*Engine, e
 		return nil, fmt.Errorf("campaign: loading baseline: %w", err)
 	}
 	base.Extract(serial)
+	var baseline []*Crasher
+	for _, v := range metamorph.CheckExtracted(base, base, sources, serial, metamorph.MutantChecks{}) {
+		baseline = append(baseline, &Crasher{
+			Fingerprint: Fingerprint(v),
+			Invariant:   v.Invariant,
+			RootKeys:    v.RootKeys,
+			Detail:      NormalizeDetail(v.Detail),
+			FirstRound:  -1,
+			Seen:        1,
+			Trace:       []metamorph.Step{},
+			Minimized:   true,
+		})
+	}
 	muts := opts.Mutators
 	if muts == nil {
 		muts = metamorph.Mutators()
 	}
 	return &Engine{
-		name:    name,
-		sources: sources,
-		opts:    opts,
-		serial:  serial,
-		base:    base,
-		muts:    muts,
+		name:     name,
+		sources:  sources,
+		opts:     opts,
+		serial:   serial,
+		base:     base,
+		muts:     muts,
+		baseline: baseline,
 	}, nil
 }
 
@@ -450,6 +471,19 @@ func (e *Engine) Merge(shards []*ShardResult) *Result {
 	}
 	keys := map[string]bool{}
 	crashers := map[string]*Crasher{}
+	addCrashers := func(cs []*Crasher) {
+		for _, c := range cs {
+			if prev := crashers[c.Fingerprint]; prev != nil {
+				prev.Seen += c.Seen
+				continue
+			}
+			cc := *c
+			crashers[c.Fingerprint] = &cc
+			res.Crashers = append(res.Crashers, &cc)
+		}
+	}
+	res.RawViolations = len(e.baseline)
+	addCrashers(e.baseline)
 	for _, s := range sorted {
 		res.Rounds += s.Rounds
 		res.NewCoverageRounds += len(s.Keys)
@@ -469,15 +503,7 @@ func (e *Engine) Merge(shards []*ShardResult) *Result {
 		for mname, v := range s.Energy {
 			res.Energy[mname] += v
 		}
-		for _, c := range s.Crashers {
-			if prev := crashers[c.Fingerprint]; prev != nil {
-				prev.Seen += c.Seen
-				continue
-			}
-			cc := *c
-			crashers[c.Fingerprint] = &cc
-			res.Crashers = append(res.Crashers, &cc)
-		}
+		addCrashers(s.Crashers)
 	}
 	if len(sorted) > 0 {
 		for mname := range res.Energy {

@@ -73,17 +73,17 @@ func MutateSources(sources map[string]string, seed int64, n int) (map[string]str
 		return nil, nil, err
 	}
 	rng := rand.New(rand.NewSource(seed))
-	applied, _ := mutate(b, rng, n)
+	applied := mutate(b, rng, n)
 	return b.Sources(), applied, nil
 }
 
 // mutate applies n randomly chosen mutators to b, returning the names of
-// those that changed it and the names of every draw attempted. A mutator
-// whose Apply finds no candidate is marked dead and excluded from later
-// draws — it stays a no-op until another mutator changes the bundle, at
-// which point every dead mark is cleared (the rewrite may have created
-// sites). When all mutators are simultaneously dead the round ends early.
-func mutate(b *Bundle, rng *rand.Rand, n int) (applied, attempted []string) {
+// those that changed it. A mutator whose Apply finds no candidate is
+// marked dead and excluded from later draws — it stays a no-op until
+// another mutator changes the bundle, at which point every dead mark is
+// cleared (the rewrite may have created sites). When all mutators are
+// simultaneously dead the round ends early.
+func mutate(b *Bundle, rng *rand.Rand, n int) (applied []string) {
 	muts := Mutators()
 	dead := make([]bool, len(muts))
 	alive := len(muts)
@@ -101,7 +101,6 @@ func mutate(b *Bundle, rng *rand.Rand, n int) (applied, attempted []string) {
 			k--
 		}
 		m := muts[idx]
-		attempted = append(attempted, m.Name)
 		if m.Apply(b, rng) {
 			applied = append(applied, m.Name)
 			if alive < len(muts) {
@@ -115,7 +114,7 @@ func mutate(b *Bundle, rng *rand.Rand, n int) (applied, attempted []string) {
 			alive--
 		}
 	}
-	return applied, attempted
+	return applied
 }
 
 // MutantChecks selects which sampled invariants CheckExtracted runs on

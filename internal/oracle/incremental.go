@@ -11,16 +11,18 @@ import (
 	"policyoracle/internal/types"
 )
 
-// This file implements incremental extraction: given a previous
-// extraction (policies + per-entry dependency sets + method hashes, see
-// Library), a changed source bundle is re-analyzed only for the entry
-// points whose dependency set intersects the changed methods; every
-// other entry's policy is spliced from the previous extraction
-// unchanged. Because per-entry analysis is deterministic and the policy
-// wire format is a byte fixed point under export/import, the spliced
-// result is byte-identical to a from-scratch Extract of the new sources
-// — asserted by the oracle tests and the metamorph incremental
-// invariant.
+// This file implements entry-policy reuse. An entry point's policy
+// depends only on the extraction options and the IR of the methods its
+// analysis visited (its dependency set), so a policy recorded together
+// with the hashes its dependencies had at the time is byte-identical to
+// a fresh analysis of any program in which every one of those methods
+// still hashes the same. One splice step applies that argument to two
+// sources: the previous extraction of the same library (incremental
+// extraction, ExtractIncremental) and the process-wide SummaryCache.
+// Because the policy wire format is a byte fixed point under
+// export/import, the spliced result is byte-identical to a from-scratch
+// Extract of the new sources — asserted by the oracle tests and the
+// metamorph incremental invariant.
 
 // ErrNoPrevious reports an incremental extraction whose previous library
 // carries no extracted policies to splice from.
@@ -31,7 +33,8 @@ var ErrNoPrevious = errors.New("oracle: previous library has no extracted polici
 type IncrementalStats struct {
 	// Entries is the number of API entry points in the new program;
 	// Reused of them were spliced from the previous extraction and
-	// Reanalyzed were run through the full MAY/MUST analyses.
+	// Reanalyzed were not (they went through the MAY/MUST analyses, or
+	// were spliced from the summary cache).
 	Entries    int
 	Reused     int
 	Reanalyzed int
@@ -40,8 +43,8 @@ type IncrementalStats struct {
 	// the previous extraction.
 	HashedMethods  int
 	ChangedMethods int
-	// Full marks a fallback to a from-scratch extraction: the previous
-	// extraction used different options or carries no incremental state.
+	// Full marks an extraction the previous one could not seed: it used
+	// different options or carries no incremental state.
 	Full bool
 }
 
@@ -54,94 +57,122 @@ type IncrementalStats struct {
 //
 // prev must have been extracted under the same options (including the
 // CollectPaths/CollectGuards display flags, which shape in-memory
-// policies); otherwise the call transparently falls back to a full
-// extraction, reported via IncrementalStats.Full.
+// policies); otherwise nothing is reused from it, which
+// IncrementalStats.Full reports.
 func ExtractIncremental(prev *Library, sources map[string]string, opts Options) (*Library, *IncrementalStats, error) {
-	return ExtractIncrementalContext(context.Background(), prev, sources, opts)
-}
-
-// ExtractIncrementalContext is ExtractIncremental with cancellation,
-// observed between entry-point analyses exactly like ExtractContext.
-func ExtractIncrementalContext(ctx context.Context, prev *Library, sources map[string]string, opts Options) (*Library, *IncrementalStats, error) {
 	if prev == nil || prev.Policies == nil {
 		return nil, nil, ErrNoPrevious
 	}
-	opts = opts.Normalize()
 	lib, err := LoadLibrary(prev.Name, sources)
 	if err != nil {
 		return nil, nil, err
 	}
-	st := &IncrementalStats{}
-	hashes := lib.methodHashes(opts.Domain)
-	st.HashedMethods = len(hashes)
-
-	if prev.ExtractedOpts != extractKey(opts) || len(prev.MethodHashes) == 0 || len(prev.EntryDeps) == 0 {
-		// The previous extraction cannot prove anything about this one;
-		// rebuild from scratch rather than guess.
-		st.Full = true
-		if err := lib.ExtractContext(ctx, opts); err != nil {
-			return nil, nil, err
-		}
-		st.Entries = len(lib.Policies.Entries)
-		st.Reanalyzed = st.Entries
-		st.ChangedMethods = countChanged(prev.MethodHashes, hashes)
-		observeIncremental(opts.Telemetry, st, lib.EntryDeps)
-		return lib, st, nil
+	st, err := lib.ExtractSeeded(context.Background(), prev, opts)
+	if err != nil {
+		return nil, nil, err
 	}
-	st.ChangedMethods = countChanged(prev.MethodHashes, hashes)
+	return lib, st, nil
+}
 
+// ExtractSeeded is ExtractContext seeded from prev, a previous
+// extraction of an earlier version of this library (nil for none): see
+// splice. A prev that cannot prove anything about this extraction — a
+// different option key (see extractKey) or no incremental state — is
+// skipped and the stats report Full. The incremental instruments of
+// opts.Telemetry are fed only when prev is non-nil.
+func (l *Library) ExtractSeeded(ctx context.Context, prev *Library, opts Options) (*IncrementalStats, error) {
+	opts = opts.Normalize()
 	if tm := opts.Telemetry; tm != nil {
 		tm.Extractions.With(opts.Domain.ID()).Inc()
 	}
-	entries := lib.EntryPoints()
-	st.Entries = len(entries)
-	pp := policy.NewProgramPolicies(lib.Name)
+	key := extractKey(opts)
+	hashes := l.methodHashes(opts.Domain)
+	entries := l.EntryPoints()
+	st := &IncrementalStats{Entries: len(entries), HashedMethods: len(hashes)}
+	seeded := prev != nil
+	if seeded {
+		st.ChangedMethods = countChanged(prev.MethodHashes, hashes)
+		if prev.Policies == nil || prev.ExtractedOpts != key || len(prev.MethodHashes) == 0 || len(prev.EntryDeps) == 0 {
+			prev = nil
+		}
+	}
+	st.Full = prev == nil
+
+	pp := policy.NewProgramPolicies(l.Name)
 	if opts.Domain != secmodel.SecurityManager() {
 		pp.Domain = opts.Domain.ID()
 	}
 	deps := make(map[string][]string, len(entries))
+	fresh := splice(opts, key, hashes, prev, entries, pp, deps, st)
+	st.Reanalyzed = st.Entries - st.Reused
+	if len(fresh) > 0 {
+		if err := l.extractEntries(ctx, opts, key, hashes, fresh, pp, deps); err != nil {
+			return nil, err
+		}
+	}
+	l.Policies = pp
+	l.EntryDeps = deps
+	l.MethodHashes = hashes
+	l.ExtractedOpts = key
+	if seeded {
+		observeIncremental(opts.Telemetry, st, deps)
+	}
+	return st, nil
+}
+
+// splice is the one place an extraction reuses an entry policy instead
+// of analyzing it. Each entry is taken from prev (the previous
+// extraction of this library, already checked to share the option key)
+// or else from opts.Summaries, and from either only when pinned proves
+// its dependency set unchanged. Reused entries are written into pp and
+// deps, and st.Reused counts those taken from prev; the entries left to
+// analyze are returned.
+func splice(opts Options, key string, hashes map[string]string, prev *Library, entries []*types.Method, pp *policy.ProgramPolicies, deps map[string][]string, st *IncrementalStats) []*types.Method {
 	var fresh []*types.Method
+	hits := 0
 	for _, m := range entries {
 		sig := m.Qualified()
-		if prevEP := prev.Policies.Entries[sig]; prevEP != nil && reusableEntry(prev, hashes, sig) {
-			pp.Entries[sig] = prevEP
-			deps[sig] = prev.EntryDeps[sig]
-			st.Reused++
-			continue
+		if prev != nil {
+			ds := prev.EntryDeps[sig]
+			prevHash := func(i int) (string, bool) {
+				h, ok := prev.MethodHashes[ds[i]]
+				return h, ok
+			}
+			if ep := prev.Policies.Entries[sig]; ep != nil && pinned(ds, prevHash, hashes) {
+				pp.Entries[sig], deps[sig] = ep, ds
+				st.Reused++
+				continue
+			}
+		}
+		if opts.Summaries != nil {
+			if ep, ds, ok := opts.Summaries.lookup(key, sig, hashes); ok {
+				pp.Entries[sig], deps[sig] = ep, ds
+				hits++
+				continue
+			}
 		}
 		fresh = append(fresh, m)
 	}
-	st.Reanalyzed = len(fresh)
-	if len(fresh) > 0 {
-		fdeps, err := lib.extractEntries(ctx, opts, fresh, pp)
-		if err != nil {
-			return nil, nil, err
-		}
-		for sig, d := range fdeps {
-			deps[sig] = d
-		}
+	if tm := opts.Telemetry; tm != nil && opts.Summaries != nil {
+		tm.SummaryCacheHits.With(opts.Domain.ID()).Add(float64(hits))
+		tm.SummaryCacheMisses.With(opts.Domain.ID()).Add(float64(len(fresh)))
 	}
-	lib.Policies = pp
-	lib.EntryDeps = deps
-	lib.MethodHashes = hashes
-	lib.ExtractedOpts = extractKey(opts)
-	observeIncremental(opts.Telemetry, st, deps)
-	return lib, st, nil
+	return fresh
 }
 
-// reusableEntry reports whether sig's previous policy can be spliced:
-// every method in its previous dependency set must exist in the new
-// program with an identical hash. A method that disappeared, changed, or
-// was never recorded forces re-analysis.
-func reusableEntry(prev *Library, hashes map[string]string, sig string) bool {
-	ds := prev.EntryDeps[sig]
-	if len(ds) == 0 {
+// pinned is the dependency-pin check behind every reuse: a policy
+// recorded with dependency set deps, whose i-th dependency then hashed
+// as recorded(i), can be spliced into a program with method hashes cur
+// iff every dependency still exists there with that hash. An empty set,
+// or a dependency that disappeared, changed, or was never recorded,
+// forces re-analysis.
+func pinned(deps []string, recorded func(i int) (string, bool), cur map[string]string) bool {
+	if len(deps) == 0 {
 		return false
 	}
-	for _, d := range ds {
-		ph, okPrev := prev.MethodHashes[d]
-		nh, okNew := hashes[d]
-		if !okPrev || !okNew || ph != nh {
+	for i, d := range deps {
+		want, ok := recorded(i)
+		if h, found := cur[d]; !ok || !found || h != want {
 			return false
 		}
 	}
@@ -158,12 +189,11 @@ func countChanged(prev, cur map[string]string) int {
 	return n
 }
 
-// extractKey is the option key an incremental extraction must match to
-// splice from a previous one: the canonical semantic options plus the
-// display-collection flags. CollectPaths/CollectGuards do not affect the
-// wire format, but spliced EntryPolicy values are shared in memory, so
-// mixing flags would hand callers policies whose display data is
-// inconsistent across entries.
+// extractKey is the option key a reused entry policy must match: the
+// canonical semantic options plus the display-collection flags.
+// CollectPaths/CollectGuards do not affect the wire format, but spliced
+// EntryPolicy values are shared in memory, so mixing flags would hand
+// callers policies whose display data is inconsistent across entries.
 func extractKey(o Options) string {
 	return fmt.Sprintf("%s paths=%t guards=%t", CanonicalOptions(o), o.CollectPaths, o.CollectGuards)
 }

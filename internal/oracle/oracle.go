@@ -69,7 +69,7 @@ type Options struct {
 	// spliced from the cache instead of re-analyzed. Like Telemetry it is
 	// execution strategy — never part of the fingerprint — and cannot
 	// perturb the extracted policy bytes (cache validity is the
-	// incremental-extraction soundness argument, see SummaryCache).
+	// incremental-extraction soundness argument, see splice).
 	Summaries *SummaryCache
 }
 
@@ -99,15 +99,16 @@ type Library struct {
 	// hash, EntryDeps maps each entry-point signature to the sorted
 	// signatures of the methods its analysis visited, and ExtractedOpts
 	// is the option key (see extractKey) the policies were extracted
-	// under. Together they are what ExtractIncremental consumes as prev.
+	// under. Together they are what ExtractSeeded consumes as prev.
 	MethodHashes  map[string]string
 	EntryDeps     map[string][]string
 	ExtractedOpts string
 
 	// NCLoC is the number of non-comment, non-blank source lines.
 	NCLoC int
-	// Extraction statistics and timings, per mode. After an incremental
-	// extraction they describe only the re-analyzed entry subset.
+	// Extraction statistics and timings, per mode, of the last analysis
+	// run. An extraction that splices entries (see splice) analyzes only
+	// the rest, and one that splices every entry runs no analysis.
 	MayStats, MustStats analysis.Stats
 	MayTime, MustTime   time.Duration
 	Diags               *lang.Diagnostics
@@ -239,71 +240,22 @@ func (l *Library) Extract(opts Options) {
 // partial policy set). Cancellation is observed between entry-point
 // analyses, so it takes effect within one entry analysis at worst.
 func (l *Library) ExtractContext(ctx context.Context, opts Options) error {
-	opts = opts.Normalize()
-	if tm := opts.Telemetry; tm != nil {
-		tm.Extractions.With(opts.Domain.ID()).Inc()
-	}
-	pp := policy.NewProgramPolicies(l.Name)
-	if opts.Domain != secmodel.SecurityManager() {
-		pp.Domain = opts.Domain.ID()
-	}
-	deps, err := l.extractEntries(ctx, opts, l.EntryPoints(), pp)
-	if err != nil {
-		return err
-	}
-	l.publish(pp, deps, opts)
-	return nil
-}
-
-// publish installs one completed extraction on the library: the policies
-// plus the incremental-extraction state derived from them.
-func (l *Library) publish(pp *policy.ProgramPolicies, deps map[string][]string, opts Options) {
-	l.Policies = pp
-	l.EntryDeps = deps
-	l.MethodHashes = l.methodHashes(opts.Domain)
-	l.ExtractedOpts = extractKey(opts)
+	_, err := l.ExtractSeeded(ctx, nil, opts)
+	return err
 }
 
 // extractEntries runs the per-mode analyses for the given entry points,
-// writing the merged policies into pp and returning each entry's
-// dependency set (the MAY/MUST union). opts must already be normalized.
-// The library's per-mode stats and timings are overwritten and describe
-// exactly this run, so after an incremental extraction they cover only
-// the re-analyzed subset.
-func (l *Library) extractEntries(ctx context.Context, opts Options, entries []*types.Method, pp *policy.ProgramPolicies) (map[string][]string, error) {
+// writing the merged policies into pp and each entry's dependency set
+// (the MAY/MUST union) into deps, and caching both in opts.Summaries
+// under key, pinned to hashes. opts must already be normalized. The
+// library's per-mode stats and timings are overwritten and describe
+// exactly this run, so after a spliced extraction they cover only the
+// analyzed subset.
+func (l *Library) extractEntries(ctx context.Context, opts Options, key string, hashes map[string]string, entries []*types.Method, pp *policy.ProgramPolicies, deps map[string][]string) error {
 	modes := opts.Modes
 	workers := opts.Parallel
 	if tm := opts.Telemetry; tm != nil {
 		tm.Workers.Set(float64(workers))
-	}
-	deps := make(map[string][]string, len(entries))
-
-	// Summary-cache splice: entries whose dependency cone is pinned in the
-	// cache skip analysis entirely; only the remainder reaches the
-	// analyzers. extractKey and the hash table are only computed when a
-	// cache is attached.
-	analyzed := entries
-	var sumKey string
-	var sumHashes map[string]string
-	if opts.Summaries != nil {
-		sumKey = extractKey(opts)
-		sumHashes = l.methodHashes(opts.Domain)
-		analyzed = make([]*types.Method, 0, len(entries))
-		hits := 0
-		for _, m := range entries {
-			sig := m.Qualified()
-			if ep, d, ok := opts.Summaries.lookup(sumKey, sig, sumHashes); ok {
-				pp.Entries[sig] = ep
-				deps[sig] = d
-				hits++
-			} else {
-				analyzed = append(analyzed, m)
-			}
-		}
-		if tm := opts.Telemetry; tm != nil {
-			tm.SummaryCacheHits.With(opts.Domain.ID()).Add(float64(hits))
-			tm.SummaryCacheMisses.With(opts.Domain.ID()).Add(float64(len(analyzed)))
-		}
 	}
 
 	results := make(map[analysis.Mode]map[string]*analysis.EntryResult, len(modes))
@@ -324,10 +276,10 @@ func (l *Library) extractEntries(ctx context.Context, opts Options, entries []*t
 		}
 		a := analysis.New(l.Prog, l.Resolver, cfg)
 		start := time.Now()
-		perEntry := analyzeEntries(ctx, a, analyzed, workers)
+		perEntry := analyzeEntries(ctx, a, entries, workers)
 		elapsed := time.Since(start)
-		byEntry := make(map[string]*analysis.EntryResult, len(analyzed))
-		for i, m := range analyzed {
+		byEntry := make(map[string]*analysis.EntryResult, len(entries))
+		for i, m := range entries {
 			byEntry[m.Qualified()] = perEntry[i]
 		}
 		stats := a.Stats()
@@ -363,13 +315,13 @@ func (l *Library) extractEntries(ctx context.Context, opts Options, entries []*t
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 
 	// Merge per-mode results into combined entry policies.
 	mayRes := results[analysis.May]
 	mustRes := results[analysis.Must]
-	for _, m := range analyzed {
+	for _, m := range entries {
 		sig := m.Qualified()
 		ep := policy.NewEntryPolicy(sig)
 		events := map[secmodel.Event]bool{}
@@ -419,10 +371,10 @@ func (l *Library) extractEntries(ctx context.Context, opts Options, entries []*t
 		pp.Entries[sig] = ep
 		deps[sig] = mergeDeps(sig, mayRes[sig], mustRes[sig])
 		if opts.Summaries != nil {
-			opts.Summaries.insert(sumKey, sig, deps[sig], sumHashes, ep)
+			opts.Summaries.insert(key, sig, deps[sig], hashes, ep)
 		}
 	}
-	return deps, nil
+	return nil
 }
 
 // mergeDeps unions the per-mode dependency sets of one entry. The sets
@@ -542,18 +494,9 @@ func Diff(a, b *Library) (*diff.Report, error) {
 	}
 	if a.Policies.Domain != b.Policies.Domain {
 		return nil, fmt.Errorf("%w: %s has %q, %s has %q", ErrDomainMismatch,
-			a.Name, domainOr(a.Policies.Domain), b.Name, domainOr(b.Policies.Domain))
+			a.Name, secmodel.DomainLabel(a.Policies.Domain), b.Name, secmodel.DomainLabel(b.Policies.Domain))
 	}
 	return diff.Compare(a.Policies, b.Policies), nil
-}
-
-// domainOr spells the default domain's canonical empty string as its
-// registered ID for error messages.
-func domainOr(id string) string {
-	if id == "" {
-		return secmodel.DefaultDomainID
-	}
-	return id
 }
 
 // Compare is the one-shot entry point: it extracts either library's

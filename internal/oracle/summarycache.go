@@ -8,8 +8,8 @@ import (
 
 // SummaryCache is a process-wide, cross-library cache of per-entry
 // extraction results. It generalizes the incremental-extraction argument
-// (see reusableEntry) from "previous version of this library" to "any
-// library extracted in this process": an entry-point policy depends only
+// (see splice) from "previous version of this library" to "any library
+// extracted in this process": an entry-point policy depends only
 // on the extraction options and the IR of the methods its analysis
 // visited, so when a target library presents an entry whose entire
 // dependency cone hashes identically to a cached extraction, the cached
@@ -38,22 +38,16 @@ type cacheKey struct {
 	sig  string
 }
 
-// depPin records the IR content hash one dependency had when the entry
-// was analyzed. A cached entry is valid for a target library iff every
-// pin matches the target's own method hashes.
-type depPin struct {
-	sig  string
-	hash string
-}
-
-// cachedEntry is one cached per-entry result. The EntryPolicy is shared
-// by every library the entry is spliced into and must never be mutated —
-// the same immutability contract incremental extraction relies on when
-// splicing policies across library versions.
+// cachedEntry is one cached per-entry result: the policy, its dependency
+// set, and the IR hash each dependency had when the entry was analyzed
+// (hashes[i] pins deps[i]). The EntryPolicy is shared by every library
+// the entry is spliced into and must never be mutated — the same
+// immutability contract incremental extraction relies on when splicing
+// policies across library versions.
 type cachedEntry struct {
-	pins []depPin
-	deps []string
-	ep   *policy.EntryPolicy
+	deps   []string
+	hashes []string
+	ep     *policy.EntryPolicy
 }
 
 // DefaultSummaryCacheCap bounds the number of cached entries. The bound
@@ -74,34 +68,24 @@ func NewSummaryCache(maxEntries int) *SummaryCache {
 }
 
 // lookup returns the cached policy and dependency list for (optsKey, sig)
-// when every dependency pin matches hashes, the target library's own
-// method-hash table.
-func (c *SummaryCache) lookup(optsKey, sig string, hashes map[string]string) (*policy.EntryPolicy, []string, bool) {
-	if c == nil {
-		return nil, nil, false
-	}
+// when its dependency pins hold against cur, the target library's own
+// method-hash table (see pinned).
+func (c *SummaryCache) lookup(optsKey, sig string, cur map[string]string) (*policy.EntryPolicy, []string, bool) {
 	c.mu.RLock()
 	e := c.entries[cacheKey{opts: optsKey, sig: sig}]
 	c.mu.RUnlock()
-	if e != nil {
-		valid := true
-		for _, p := range e.pins {
-			if h, ok := hashes[p.sig]; !ok || h != p.hash {
-				valid = false
-				break
-			}
-		}
-		if valid {
-			c.mu.Lock()
-			c.hits++
-			c.mu.Unlock()
-			return e.ep, e.deps, true
-		}
-	}
+	ok := e != nil && pinned(e.deps, func(i int) (string, bool) { return e.hashes[i], true }, cur)
 	c.mu.Lock()
-	c.misses++
+	if ok {
+		c.hits++
+	} else {
+		c.misses++
+	}
 	c.mu.Unlock()
-	return nil, nil, false
+	if !ok {
+		return nil, nil, false
+	}
+	return e.ep, e.deps, true
 }
 
 // insert stores one extracted entry, pinning the hash of every
@@ -110,25 +94,22 @@ func (c *SummaryCache) lookup(optsKey, sig string, hashes map[string]string) (*p
 // once), so coarse eviction keeps the bookkeeping off the extraction
 // path.
 func (c *SummaryCache) insert(optsKey, sig string, deps []string, hashes map[string]string, ep *policy.EntryPolicy) {
-	if c == nil {
-		return
-	}
-	pins := make([]depPin, 0, len(deps))
-	for _, d := range deps {
+	pins := make([]string, len(deps))
+	for i, d := range deps {
 		h, ok := hashes[d]
 		if !ok {
 			// A dependency without a hash (should not happen) can never
 			// be validated; don't cache rather than risk unsound reuse.
 			return
 		}
-		pins = append(pins, depPin{sig: d, hash: h})
+		pins[i] = h
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.entries) >= c.cap {
 		c.entries = make(map[cacheKey]*cachedEntry)
 	}
-	c.entries[cacheKey{opts: optsKey, sig: sig}] = &cachedEntry{pins: pins, deps: deps, ep: ep}
+	c.entries[cacheKey{opts: optsKey, sig: sig}] = &cachedEntry{deps: deps, hashes: pins, ep: ep}
 }
 
 // Len returns the number of cached entries.

@@ -253,6 +253,16 @@ func (d *Domain) BuildProgramEvents(p *types.Program) *ProgramEvents {
 // keeps pre-domain bundles, snapshots, and exports addressable.
 const DefaultDomainID = "securitymanager"
 
+// DomainLabel spells a persisted domain ID, where the empty string means
+// the default domain, as the registered ID, for comparisons and error
+// messages.
+func DomainLabel(id string) string {
+	if id == "" {
+		return DefaultDomainID
+	}
+	return id
+}
+
 // CryptoDomainID is the ID of the bundled crypto-API misuse domain.
 const CryptoDomainID = "cryptoapi"
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"policyoracle/internal/batch"
+	"policyoracle/internal/secmodel"
 	"policyoracle/internal/store"
 )
 
@@ -146,10 +147,10 @@ func (s *Server) execBatchItem(ctx context.Context, index int, it batch.Item) ba
 			var hdr struct {
 				Domain string `json:"domain"`
 			}
-			if json.Unmarshal(blob, &hdr) == nil && domainLabel(hdr.Domain) != want.id {
+			if json.Unmarshal(blob, &hdr) == nil && secmodel.DomainLabel(hdr.Domain) != want.id {
 				return batchError(index, it, http.StatusBadRequest, CodeBadRequest,
 					fmt.Errorf("policies of %s are in domain %q, not the asserted %q",
-						it.Fingerprint, domainLabel(hdr.Domain), want.id))
+						it.Fingerprint, secmodel.DomainLabel(hdr.Domain), want.id))
 			}
 		}
 		return batch.ItemResult{Index: index, Op: it.Op, Status: http.StatusOK, Result: blob}
@@ -159,10 +160,10 @@ func (s *Server) execBatchItem(ctx context.Context, index int, it batch.Item) ba
 			status, code := storeErrorCode(err)
 			return batchError(index, it, status, code, err)
 		}
-		if want != nil && domainLabel(rep.Domain) != want.id {
+		if want != nil && secmodel.DomainLabel(rep.Domain) != want.id {
 			return batchError(index, it, http.StatusBadRequest, CodeBadRequest,
 				fmt.Errorf("compared policies are in domain %q, not the asserted %q",
-					domainLabel(rep.Domain), want.id))
+					secmodel.DomainLabel(rep.Domain), want.id))
 		}
 		wire, err := rep.EncodeJSON()
 		if err != nil {

@@ -381,7 +381,7 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 		if json.Unmarshal(blob, &hdr) == nil && !domainMatches(want, hdr.Domain) {
 			s.fail(w, http.StatusBadRequest, CodeBadRequest,
 				fmt.Errorf("policies of %s are in domain %q, not the asserted %q",
-					req.Fingerprint, domainLabel(hdr.Domain), want.ID()))
+					req.Fingerprint, secmodel.DomainLabel(hdr.Domain), want.ID()))
 			return
 		}
 	}
@@ -408,7 +408,7 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	if want != nil && !domainMatches(want, rep.Domain) {
 		s.fail(w, http.StatusBadRequest, CodeBadRequest,
 			fmt.Errorf("compared policies are in domain %q, not the asserted %q",
-				domainLabel(rep.Domain), want.ID()))
+				secmodel.DomainLabel(rep.Domain), want.ID()))
 		return
 	}
 	// The canonical wire bytes: identical to `polora diff -json` output
@@ -529,16 +529,7 @@ func (s *Server) assertDomain(w http.ResponseWriter, id string) (*secmodel.Domai
 // domainMatches reports whether a wire-format domain ID (empty = the
 // default domain) names the asserted domain.
 func domainMatches(want *secmodel.Domain, wireID string) bool {
-	return domainLabel(wireID) == want.ID()
-}
-
-// domainLabel spells the wire format's empty default-domain ID as the
-// registered one for error messages and comparisons.
-func domainLabel(id string) string {
-	if id == "" {
-		return secmodel.DefaultDomainID
-	}
-	return id
+	return secmodel.DomainLabel(wireID) == want.ID()
 }
 
 // storeErrorCode maps a store-layer error to its HTTP status and stable

@@ -101,7 +101,7 @@ func TestBackendServesBeforeExtraction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := origin.Policies(fp)
+	blob, err := origin.PoliciesContext(context.Background(), fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestBackendServesBeforeExtraction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := edge.Policies(fp)
+	got, err := edge.PoliciesContext(context.Background(), fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestBackendServesBeforeExtraction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := reopened.Policies(fp); err != nil || !bytes.Equal(got, blob) {
+	if got, err := reopened.PoliciesContext(context.Background(), fp); err != nil || !bytes.Equal(got, blob) {
 		t.Fatalf("persisted backend blob not served from disk (err %v)", err)
 	}
 }
@@ -143,7 +143,7 @@ func TestLocalOnlySkipsBackends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := origin.Policies(fp)
+	blob, err := origin.PoliciesContext(context.Background(), fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestLocalOnlySkipsBackends(t *testing.T) {
 		t.Fatalf("local-only read consulted the backend %d time(s)", n)
 	}
 	// The same read without the flag hits the backend.
-	if got, err := edge.Policies(fp); err != nil || !bytes.Equal(got, blob) {
+	if got, err := edge.PoliciesContext(context.Background(), fp); err != nil || !bytes.Equal(got, blob) {
 		t.Fatalf("normal read after local-only miss failed (err %v)", err)
 	}
 }
@@ -178,7 +178,7 @@ func TestCorruptBackendBlobRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := edge.Policies(fp); err == nil {
+	if _, err := edge.PoliciesContext(context.Background(), fp); err == nil {
 		t.Fatal("corrupt backend blob was served")
 	}
 	if st := edge.Stats(); st.BackendHits != 0 || st.CorruptBlobs != 1 {
@@ -238,7 +238,7 @@ func TestConcurrentNamesRebuildWithPuts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := origin.Policies(fpA)
+	blob, err := origin.PoliciesContext(context.Background(), fpA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestConcurrentNamesRebuildWithPuts(t *testing.T) {
 				return
 			default:
 			}
-			s.Policies(fpA)
+			s.PoliciesContext(context.Background(), fpA)
 		}
 	}()
 	for i := 0; i < libs; i++ {

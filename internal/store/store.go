@@ -49,7 +49,6 @@ import (
 	"policyoracle/internal/diff"
 	"policyoracle/internal/oracle"
 	"policyoracle/internal/policy"
-	"policyoracle/internal/secmodel"
 	"policyoracle/internal/telemetry"
 )
 
@@ -82,13 +81,6 @@ type Config struct {
 	// (default 2). Single-flight already collapses same-fingerprint
 	// requests; this bounds distinct ones.
 	MaxInflight int
-	// SummaryCacheEntries caps the cross-library summary cache shared by
-	// every extraction this store performs: entry policies whose full
-	// dependency cone hashes identically across bundles (forks, vendored
-	// copies, re-uploads under new options) are spliced instead of
-	// re-analyzed. 0 uses oracle.DefaultSummaryCacheCap; a negative value
-	// disables the cache.
-	SummaryCacheEntries int
 	// Backends are consulted in order on a mem+disk miss, before local
 	// extraction: the pluggable remote tiers of a distributed store
 	// (peer replicas today; an object store tomorrow). A blob served by
@@ -138,8 +130,12 @@ type Store struct {
 	backends []Backend
 	tm       *telemetry.StoreMetrics
 	xm       *telemetry.ExtractMetrics
-	sums     *oracle.SummaryCache // nil when disabled
-	log      *slog.Logger
+	// sums is the cross-library summary cache shared by every extraction
+	// this store performs: entry policies whose full dependency cone
+	// hashes identically across bundles (forks, vendored copies,
+	// re-uploads under new options) are spliced instead of re-analyzed.
+	sums *oracle.SummaryCache
+	log  *slog.Logger
 
 	mu     sync.Mutex
 	cache  *blobLRU
@@ -160,8 +156,8 @@ type Store struct {
 	bundles, diffs, evictions            atomic.Uint64
 	backendHits                          atomic.Uint64
 
-	// extract produces the policy blob for a bundle; tests may stub it.
-	extract func(context.Context, *Bundle) ([]byte, error)
+	// extract produces the policy blob for a job; tests may stub it.
+	extract func(context.Context, *job) ([]byte, error)
 }
 
 // flightCall is one in-flight load-or-extract. Waiters are refcounted:
@@ -174,6 +170,22 @@ type flightCall struct {
 	waiters int // guarded by Store.mu
 	blob    []byte
 	err     error
+	// stats counts the entries the call's extraction reused and
+	// re-analyzed; nil when the blob was not extracted by this call.
+	stats *oracle.IncrementalStats
+}
+
+// job is one extraction for a flight leader to run. A read supplies only
+// the bundle, loaded from disk; Update also hands over the library its
+// validation already loaded and the library's previous fingerprint,
+// whose blob and sidecar seed the extraction (see
+// oracle.Library.ExtractSeeded). The extraction leaves its counts in
+// stats.
+type job struct {
+	bundle *Bundle
+	lib    *oracle.Library // nil: load from bundle
+	prevFP string          // "": no seed
+	stats  *oracle.IncrementalStats
 }
 
 // Open creates (if needed) and opens a store directory.
@@ -203,12 +215,10 @@ func Open(cfg Config) (*Store, error) {
 		tm:          telemetry.NewStoreMetrics(cfg.Registry),
 		xm:          telemetry.NewExtractMetrics(cfg.Registry),
 		log:         cfg.Logger,
+		sums:        oracle.NewSummaryCache(0),
 		cache:       newBlobLRU(cfg.CacheEntries),
 		flight:      make(map[string]*flightCall),
 		updateLocks: make(map[string]*sync.Mutex),
-	}
-	if cfg.SummaryCacheEntries >= 0 {
-		s.sums = oracle.NewSummaryCache(cfg.SummaryCacheEntries)
 	}
 	s.extract = s.extractBundle
 	return s, nil
@@ -249,47 +259,63 @@ func (s *Store) SaveCampaign(id string, result []byte) (string, error) {
 // Put fingerprints and persists a bundle, returning its address. A
 // re-upload of existing content is a no-op with created == false.
 func (s *Store) Put(name string, sources map[string]string, w OptionsWire) (fp string, created bool, err error) {
+	j, err := prepare(name, sources, w)
+	if err != nil {
+		return "", false, err
+	}
+	fp = j.bundle.Fingerprint
+	if created, err = s.writeBundle(j.bundle); err != nil {
+		return "", false, err
+	}
+	if err := s.setLatestFingerprint(name, fp); err != nil {
+		return "", false, err
+	}
+	return fp, created, nil
+}
+
+// prepare validates an upload and loads it, returning the extraction
+// job for its bundle. The loaded library rides along, so an Update
+// extracts without loading the sources a second time.
+func prepare(name string, sources map[string]string, w OptionsWire) (*job, error) {
 	if name == "" {
-		return "", false, fmt.Errorf("store: %w: empty library name", ErrInvalid)
+		return nil, fmt.Errorf("store: %w: empty library name", ErrInvalid)
 	}
 	if len(sources) == 0 {
-		return "", false, fmt.Errorf("store: %w: empty source bundle", ErrInvalid)
+		return nil, fmt.Errorf("store: %w: empty source bundle", ErrInvalid)
 	}
 	opts, err := w.ToOracle()
 	if err != nil {
 		// Double-wrap so callers can match both ErrInvalid and typed
 		// option errors like secmodel.ErrUnknownDomain.
-		return "", false, fmt.Errorf("store: %w: %w", ErrInvalid, err)
+		return nil, fmt.Errorf("store: %w: %w", ErrInvalid, err)
 	}
 	// Reject bundles that don't load: a broken upload should fail at Put,
 	// not poison every later extraction of its fingerprint.
-	if _, err := oracle.LoadLibrary(name, sources); err != nil {
-		return "", false, fmt.Errorf("store: %w: bundle does not load: %v", ErrInvalid, err)
-	}
-	fp = oracle.Fingerprint(name, sources, opts)
-	path := s.bundlePath(fp)
-	if _, err := os.Stat(path); err == nil {
-		if err := s.setLatestFingerprint(name, fp); err != nil {
-			return "", false, err
-		}
-		return fp, false, nil
-	}
-	data, err := json.MarshalIndent(&Bundle{
-		Fingerprint: fp, Name: name, Options: w, Sources: sources,
-	}, "", "  ")
+	lib, err := oracle.LoadLibrary(name, sources)
 	if err != nil {
-		return "", false, fmt.Errorf("store: %w", err)
+		return nil, fmt.Errorf("store: %w: bundle does not load: %v", ErrInvalid, err)
+	}
+	b := &Bundle{Fingerprint: oracle.Fingerprint(name, sources, opts), Name: name, Options: w, Sources: sources}
+	return &job{bundle: b, lib: lib}, nil
+}
+
+// writeBundle persists b unless its fingerprint is already stored.
+func (s *Store) writeBundle(b *Bundle) (created bool, err error) {
+	path := s.bundlePath(b.Fingerprint)
+	if _, err := os.Stat(path); err == nil {
+		return false, nil
+	}
+	data, err := json.MarshalIndent(b, "", "  ")
+	if err != nil {
+		return false, fmt.Errorf("store: %w", err)
 	}
 	if err := WriteAtomic(path, data); err != nil {
-		return "", false, fmt.Errorf("store: %w", err)
+		return false, fmt.Errorf("store: %w", err)
 	}
 	s.bundles.Add(1)
 	s.tm.Bundles.Inc()
-	if err := s.setLatestFingerprint(name, fp); err != nil {
-		return "", false, err
-	}
-	s.log.Info("store: bundle created", "fingerprint", fp, "library", name, "files", len(sources))
-	return fp, true, nil
+	s.log.Info("store: bundle created", "fingerprint", b.Fingerprint, "library", b.Name, "files", len(b.Sources))
+	return true, nil
 }
 
 // latestFingerprint returns the most recently uploaded fingerprint for a
@@ -418,13 +444,6 @@ func (s *Store) Bundle(fp string) (*Bundle, error) {
 	return &b, nil
 }
 
-// Policies returns the policy blob for a fingerprint, extracting it from
-// the bundle on a cold cache. It is PoliciesContext with a background
-// context.
-func (s *Store) Policies(fp string) ([]byte, error) {
-	return s.PoliciesContext(context.Background(), fp)
-}
-
 // PoliciesContext returns the policy blob for a fingerprint, extracting
 // it from the bundle on a cold cache. The bytes are exactly what
 // policy.ExportJSON produced (and `polora export` writes); callers must
@@ -437,6 +456,19 @@ func (s *Store) PoliciesContext(ctx context.Context, fp string) ([]byte, error) 
 	if !oracle.IsFingerprint(fp) {
 		return nil, fmt.Errorf("%w: %q", ErrMalformed, fp)
 	}
+	blob, c := s.join(ctx, fp, nil)
+	if c == nil {
+		return blob, nil
+	}
+	return s.wait(ctx, fp, c)
+}
+
+// join serves fp from the LRU or else returns the in-flight call for fp,
+// on which the caller now holds a reference: one it coalesced onto, or
+// one it started as the leader. The leader serves fp from disk or a
+// backend if it can, and otherwise extracts j (nil: the persisted
+// bundle). This is the store's only path to an extraction.
+func (s *Store) join(ctx context.Context, fp string, j *job) ([]byte, *flightCall) {
 	s.mu.Lock()
 	if blob, ok := s.cache.get(fp); ok {
 		s.mu.Unlock()
@@ -449,7 +481,7 @@ func (s *Store) PoliciesContext(ctx context.Context, fp string) ([]byte, error) 
 		s.mu.Unlock()
 		s.coalesced.Add(1)
 		s.tm.Coalesced.Inc()
-		return s.wait(ctx, fp, c)
+		return nil, c
 	}
 	// The extraction runs under its own context, detached from this
 	// caller's: other callers may coalesce onto it, so it must outlive
@@ -458,8 +490,10 @@ func (s *Store) PoliciesContext(ctx context.Context, fp string) ([]byte, error) 
 	// leader's local-only flag is captured here explicitly. (A normal
 	// read coalescing onto a local-only flight inherits its narrower
 	// tier walk for that one call; failures are never cached, so the
-	// next read consults the backends again.)
-	localOnly := isLocalOnly(ctx)
+	// next read consults the backends again.) An update is local-only
+	// too: a backend's blob comes without the sidecar the library's
+	// next update seeds from.
+	localOnly := isLocalOnly(ctx) || j != nil
 	cctx, cancel := context.WithCancel(context.Background())
 	c := &flightCall{done: make(chan struct{}), cancel: cancel, waiters: 1}
 	s.flight[fp] = c
@@ -467,7 +501,7 @@ func (s *Store) PoliciesContext(ctx context.Context, fp string) ([]byte, error) 
 
 	go func() {
 		defer cancel()
-		c.blob, c.err = s.loadOrExtract(cctx, fp, localOnly)
+		c.blob, c.stats, c.err = s.loadOrExtract(cctx, fp, localOnly, j)
 		s.mu.Lock()
 		if s.flight[fp] == c {
 			delete(s.flight, fp)
@@ -478,7 +512,7 @@ func (s *Store) PoliciesContext(ctx context.Context, fp string) ([]byte, error) 
 		s.mu.Unlock()
 		close(c.done)
 	}()
-	return s.wait(ctx, fp, c)
+	return nil, c
 }
 
 // wait blocks until the in-flight call completes or ctx is cancelled.
@@ -491,27 +525,34 @@ func (s *Store) wait(ctx context.Context, fp string, c *flightCall) ([]byte, err
 		return c.blob, c.err
 	case <-ctx.Done():
 		// When the result and the cancellation race, prefer the result:
-		// callers on a non-cancellable context (the Policies/PolicySet/Diff
-		// wrappers use context.Background) must always take this path, and
-		// a context caller that loses this race would otherwise decrement a
-		// refcount the completion path has already settled.
+		// callers on a non-cancellable context (context.Background) must
+		// always take this path, and a context caller that loses this race
+		// would otherwise decrement a refcount the completion path has
+		// already settled.
 		select {
 		case <-c.done:
 			return c.blob, c.err
 		default:
 		}
-		s.mu.Lock()
-		c.waiters--
-		last := c.waiters == 0
-		if last && s.flight[fp] == c {
-			delete(s.flight, fp)
-		}
-		s.mu.Unlock()
-		if last {
-			c.cancel()
-			s.log.Info("store: extraction abandoned", "fingerprint", fp, "cause", context.Cause(ctx))
-		}
+		s.leave(fp, c, context.Cause(ctx))
 		return nil, ctx.Err()
+	}
+}
+
+// leave drops one waiter's reference on c. The last one out cancels the
+// extraction and unregisters the call, so later requests start fresh
+// rather than inheriting a cancelled result.
+func (s *Store) leave(fp string, c *flightCall, cause error) {
+	s.mu.Lock()
+	c.waiters--
+	last := c.waiters == 0
+	if last && s.flight[fp] == c {
+		delete(s.flight, fp)
+	}
+	s.mu.Unlock()
+	if last {
+		c.cancel()
+		s.log.Info("store: extraction abandoned", "fingerprint", fp, "cause", cause)
 	}
 }
 
@@ -526,15 +567,17 @@ func (s *Store) noteEvictions(n int) {
 }
 
 // loadOrExtract serves one fingerprint from disk, then the configured
-// backends (unless the read is local-only), falling back to extraction.
-// Exactly one goroutine runs this per in-flight fingerprint.
-func (s *Store) loadOrExtract(ctx context.Context, fp string, localOnly bool) ([]byte, error) {
+// backends (unless the read is local-only), falling back to extracting
+// j (nil: the persisted bundle). The stats are the extraction's, nil
+// when the blob was not extracted. Exactly one goroutine runs this per
+// in-flight fingerprint.
+func (s *Store) loadOrExtract(ctx context.Context, fp string, localOnly bool, j *job) ([]byte, *oracle.IncrementalStats, error) {
 	path := s.policyPath(fp)
 	if blob, err := os.ReadFile(path); err == nil {
 		if _, err := policy.ImportJSON(blob); err == nil {
 			s.diskHits.Add(1)
 			s.tm.CacheHits.With("disk").Inc()
-			return blob, nil
+			return blob, nil, nil
 		}
 		s.corruptBlobs.Add(1)
 		s.tm.CorruptBlobs.Inc()
@@ -544,12 +587,15 @@ func (s *Store) loadOrExtract(ctx context.Context, fp string, localOnly bool) ([
 	s.tm.CacheMisses.Inc()
 	if !localOnly {
 		if blob, ok := s.fromBackends(ctx, fp, path); ok {
-			return blob, nil
+			return blob, nil, nil
 		}
 	}
-	b, err := s.Bundle(fp)
-	if err != nil {
-		return nil, err
+	if j == nil {
+		b, err := s.Bundle(fp)
+		if err != nil {
+			return nil, nil, err
+		}
+		j = &job{bundle: b}
 	}
 	queued := time.Now()
 	select {
@@ -560,31 +606,32 @@ func (s *Store) loadOrExtract(ctx context.Context, fp string, localOnly bool) ([
 		// counts one sample per extraction slot granted, not per caller.
 		s.tm.QueueWait.ObserveDuration(time.Since(queued))
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return nil, nil, ctx.Err()
 	}
 	defer func() { <-s.sem }()
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	s.extractions.Add(1)
 	s.tm.Extractions.Inc()
-	s.log.Info("store: extraction start", "fingerprint", fp, "library", b.Name)
+	name := j.bundle.Name
+	s.log.Info("store: extraction start", "fingerprint", fp, "library", name, "seeded", j.prevFP != "")
 	start := time.Now()
-	blob, err := s.extract(ctx, b)
+	blob, err := s.extract(ctx, j)
 	elapsed := time.Since(start)
 	s.tm.ExtractDuration.ObserveDuration(elapsed)
 	if err != nil {
 		s.tm.ExtractFailures.Inc()
-		s.log.Warn("store: extraction failed", "fingerprint", fp, "library", b.Name,
+		s.log.Warn("store: extraction failed", "fingerprint", fp, "library", name,
 			"duration", elapsed, "err", err)
-		return nil, err
+		return nil, nil, err
 	}
-	s.log.Info("store: extraction done", "fingerprint", fp, "library", b.Name,
+	s.log.Info("store: extraction done", "fingerprint", fp, "library", name,
 		"duration", elapsed, "bytes", len(blob))
 	if err := WriteAtomic(path, blob); err != nil {
-		return nil, fmt.Errorf("store: persisting policies: %w", err)
+		return nil, nil, fmt.Errorf("store: persisting policies: %w", err)
 	}
-	return blob, nil
+	return blob, j.stats, nil
 }
 
 // fromBackends asks each configured backend for fp's blob, in order.
@@ -619,7 +666,10 @@ func (s *Store) fromBackends(ctx context.Context, fp, path string) ([]byte, bool
 	return nil, false
 }
 
-func (s *Store) extractBundle(ctx context.Context, b *Bundle) ([]byte, error) {
+// extractBundle extracts j's bundle, seeded from the policy blob and
+// sidecar of j.prevFP when both are usable.
+func (s *Store) extractBundle(ctx context.Context, j *job) ([]byte, error) {
+	b := j.bundle
 	opts, err := b.Options.ToOracle()
 	if err != nil {
 		return nil, fmt.Errorf("store: bundle %s: %w: %w", b.Fingerprint, ErrInvalid, err)
@@ -629,13 +679,20 @@ func (s *Store) extractBundle(ctx context.Context, b *Bundle) ([]byte, error) {
 	opts.Summaries = s.sums
 	// Display-only data (paths, guards) never reaches the wire format the
 	// store serves, and the incremental sidecar records a display-free
-	// extraction; skip collecting it server-side.
+	// extraction (so its option key must match it); skip collecting it
+	// server-side.
 	opts.CollectPaths, opts.CollectGuards = false, false
-	lib, err := oracle.LoadLibrary(b.Name, b.Sources)
-	if err != nil {
-		return nil, fmt.Errorf("store: bundle %s: %w", b.Fingerprint, err)
+	lib := j.lib
+	if lib == nil {
+		if lib, err = oracle.LoadLibrary(b.Name, b.Sources); err != nil {
+			return nil, fmt.Errorf("store: bundle %s: %w", b.Fingerprint, err)
+		}
 	}
-	if err := lib.ExtractContext(ctx, opts); err != nil {
+	var prev *oracle.Library
+	if j.prevFP != "" {
+		prev = s.loadIncrementalSeed(j.prevFP)
+	}
+	if j.stats, err = lib.ExtractSeeded(ctx, prev, opts); err != nil {
 		return nil, fmt.Errorf("store: bundle %s: %w", b.Fingerprint, err)
 	}
 	s.writeIncrementalState(lib, b.Fingerprint)
@@ -660,11 +717,6 @@ func (s *Store) writeIncrementalState(lib *oracle.Library, fp string) {
 	}
 }
 
-// PolicySet returns the parsed policies for a fingerprint.
-func (s *Store) PolicySet(fp string) (*policy.ProgramPolicies, error) {
-	return s.PolicySetContext(context.Background(), fp)
-}
-
 // PolicySetContext returns the parsed policies for a fingerprint.
 func (s *Store) PolicySetContext(ctx context.Context, fp string) (*policy.ProgramPolicies, error) {
 	blob, err := s.PoliciesContext(ctx, fp)
@@ -672,12 +724,6 @@ func (s *Store) PolicySetContext(ctx context.Context, fp string) (*policy.Progra
 		return nil, err
 	}
 	return policy.ImportJSON(blob)
-}
-
-// Diff differences the policies of two fingerprints with a background
-// context.
-func (s *Store) Diff(fpA, fpB string) (*diff.Report, error) {
-	return s.DiffContext(context.Background(), fpA, fpB)
 }
 
 // DiffContext differences the policies of two fingerprints. The report
@@ -695,22 +741,13 @@ func (s *Store) DiffContext(ctx context.Context, fpA, fpB string) (*diff.Report,
 	if err != nil {
 		return nil, err
 	}
-	if pa.Domain != pb.Domain {
-		return nil, fmt.Errorf("%w: %s has %q, %s has %q",
-			oracle.ErrDomainMismatch, fpA, domainLabel(pa.Domain), fpB, domainLabel(pb.Domain))
+	rep, err := oracle.Diff(&oracle.Library{Name: fpA, Policies: pa}, &oracle.Library{Name: fpB, Policies: pb})
+	if err != nil {
+		return nil, err
 	}
 	s.diffs.Add(1)
 	s.tm.Diffs.Inc()
-	return diff.Compare(pa, pb), nil
-}
-
-// domainLabel spells the default domain's canonical empty string as its
-// registered ID for error messages.
-func domainLabel(id string) string {
-	if id == "" {
-		return secmodel.DefaultDomainID
-	}
-	return id
+	return rep, nil
 }
 
 // Stats snapshots the store counters.

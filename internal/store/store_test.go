@@ -129,7 +129,7 @@ func TestCacheHitSkipsExtraction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := s.Policies(fp)
+	blob, err := s.PoliciesContext(context.Background(), fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestCacheHitSkipsExtraction(t *testing.T) {
 		t.Errorf("stored blob differs from in-process ExportJSON:\n%s\nvs\n%s", blob, want)
 	}
 
-	again, err := s.Policies(fp)
+	again, err := s.PoliciesContext(context.Background(), fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestCacheHitSkipsExtraction(t *testing.T) {
 	}
 
 	cold := openTestStore(t, dir)
-	fromDisk, err := cold.Policies(fp)
+	fromDisk, err := cold.PoliciesContext(context.Background(), fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestCorruptBlobIsReExtracted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := s.Policies(fp)
+	want, err := s.PoliciesContext(context.Background(), fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestCorruptBlobIsReExtracted(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold := openTestStore(t, dir)
-	got, err := cold.Policies(fp)
+	got, err := cold.PoliciesContext(context.Background(), fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestCorruptBlobIsReExtracted(t *testing.T) {
 	}
 	// The healed blob persisted: a third store reads it straight back.
 	healed := openTestStore(t, dir)
-	if _, err := healed.Policies(fp); err != nil {
+	if _, err := healed.PoliciesContext(context.Background(), fp); err != nil {
 		t.Fatal(err)
 	}
 	if st := healed.Stats(); st.DiskHits != 1 || st.Extractions != 0 {
@@ -223,10 +223,10 @@ func TestConcurrentRequestsExtractOnce(t *testing.T) {
 	}
 	var calls atomic.Int64
 	inner := s.extract
-	s.extract = func(ctx context.Context, b *Bundle) ([]byte, error) {
+	s.extract = func(ctx context.Context, j *job) ([]byte, error) {
 		calls.Add(1)
 		time.Sleep(50 * time.Millisecond)
-		return inner(ctx, b)
+		return inner(ctx, j)
 	}
 	const n = 16
 	blobs := make([][]byte, n)
@@ -236,7 +236,7 @@ func TestConcurrentRequestsExtractOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			blobs[i], errs[i] = s.Policies(fp)
+			blobs[i], errs[i] = s.PoliciesContext(context.Background(), fp)
 		}(i)
 	}
 	wg.Wait()
@@ -273,7 +273,7 @@ func TestDiffReportsSeededDifference(t *testing.T) {
 	if fpA == fpB {
 		t.Fatal("distinct bundles collided")
 	}
-	rep, err := s.Diff(fpA, fpB)
+	rep, err := s.DiffContext(context.Background(), fpA, fpB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,11 +300,11 @@ func TestDiffReportsSeededDifference(t *testing.T) {
 func TestUnknownAndMalformedFingerprints(t *testing.T) {
 	s := openTestStore(t, t.TempDir())
 	ghost := oracle.Fingerprint("ghost", map[string]string{"f": "x"}, oracle.DefaultOptions())
-	if _, err := s.Policies(ghost); err == nil || !strings.Contains(err.Error(), "no bundle") {
+	if _, err := s.PoliciesContext(context.Background(), ghost); err == nil || !strings.Contains(err.Error(), "no bundle") {
 		t.Errorf("unknown fingerprint error = %v", err)
 	}
 	for _, bad := range []string{"", "po1-zz", "../../etc/passwd"} {
-		if _, err := s.Policies(bad); err == nil || !strings.Contains(err.Error(), "malformed") {
+		if _, err := s.PoliciesContext(context.Background(), bad); err == nil || !strings.Contains(err.Error(), "malformed") {
 			t.Errorf("Policies(%q) error = %v", bad, err)
 		}
 		if _, err := s.Bundle(bad); err == nil {
@@ -328,16 +328,16 @@ func TestLRUEvictionFallsBackToDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Policies(fpA); err != nil {
+	if _, err := s.PoliciesContext(context.Background(), fpA); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Policies(fpB); err != nil { // evicts fpA
+	if _, err := s.PoliciesContext(context.Background(), fpB); err != nil { // evicts fpA
 		t.Fatal(err)
 	}
 	if got := s.CachedEntries(); got != 1 {
 		t.Errorf("CachedEntries = %d, want 1", got)
 	}
-	if _, err := s.Policies(fpA); err != nil {
+	if _, err := s.PoliciesContext(context.Background(), fpA); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()
@@ -362,14 +362,14 @@ func TestPoliciesContextCancellation(t *testing.T) {
 	inner := s.extract
 	entered := make(chan struct{})
 	sawCancel := make(chan struct{})
-	s.extract = func(ctx context.Context, b *Bundle) ([]byte, error) {
+	s.extract = func(ctx context.Context, j *job) ([]byte, error) {
 		close(entered)
 		select {
 		case <-ctx.Done():
 			close(sawCancel)
 			return nil, ctx.Err()
 		case <-time.After(10 * time.Second):
-			return inner(ctx, b)
+			return inner(ctx, j)
 		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -389,7 +389,7 @@ func TestPoliciesContextCancellation(t *testing.T) {
 		t.Fatal("extraction context was never cancelled")
 	}
 	s.extract = inner
-	if _, err := s.Policies(fp); err != nil {
+	if _, err := s.PoliciesContext(context.Background(), fp); err != nil {
 		t.Fatalf("fresh read after abandonment: %v", err)
 	}
 }
@@ -405,14 +405,14 @@ func TestCoalescedWaiterCancellation(t *testing.T) {
 	inner := s.extract
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	s.extract = func(ctx context.Context, b *Bundle) ([]byte, error) {
+	s.extract = func(ctx context.Context, j *job) ([]byte, error) {
 		close(entered)
 		<-release
-		return inner(ctx, b)
+		return inner(ctx, j)
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := s.Policies(fp)
+		_, err := s.PoliciesContext(context.Background(), fp)
 		done <- err
 	}()
 	<-entered
@@ -447,10 +447,10 @@ func TestStoreMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Diff(fpA, fpB); err != nil {
+	if _, err := s.DiffContext(context.Background(), fpA, fpB); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Policies(fpA); err != nil { // evicted by fpB: disk hit
+	if _, err := s.PoliciesContext(context.Background(), fpA); err != nil { // evicted by fpB: disk hit
 		t.Fatal(err)
 	}
 	text := reg.Text()
@@ -484,7 +484,7 @@ func TestBlobRoundTripStability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := s.Policies(fp)
+	blob, err := s.PoliciesContext(context.Background(), fp)
 	if err != nil {
 		t.Fatal(err)
 	}

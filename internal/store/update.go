@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"sync"
-	"time"
 
 	"policyoracle/internal/oracle"
 	"policyoracle/internal/policy"
@@ -31,13 +30,15 @@ type UpdateResult struct {
 	Reanalyzed  int  `json:"reanalyzed"`
 }
 
-// Update is the delta-aware counterpart of Put + Policies: it
+// Update is the delta-aware counterpart of Put + PoliciesContext: it
 // fingerprints and persists the new bundle, then extracts its policies
-// eagerly, seeding an incremental extraction from the library's previous
+// eagerly, seeding the extraction from the library's previous
 // fingerprint when its policy blob and incremental sidecar are available
 // — re-analyzing only entry points whose dependency set changed. The
-// persisted blob is byte-identical to what a cold Policies extraction of
-// the same fingerprint would produce.
+// extraction runs as the fingerprint's single-flight leader, so reads of
+// the new fingerprint join it. The persisted blob is byte-identical to
+// what a cold PoliciesContext extraction of the same fingerprint would
+// produce.
 func (s *Store) Update(ctx context.Context, name string, sources map[string]string, w OptionsWire) (*UpdateResult, error) {
 	// Serialize updates per library name: two concurrent PUTs of one name
 	// must not both seed from the same "previous" revision and then race
@@ -47,27 +48,49 @@ func (s *Store) Update(ctx context.Context, name string, sources map[string]stri
 	s.nameLock(name).Lock()
 	defer s.nameLock(name).Unlock()
 
-	prevFP, _ := s.latestFingerprint(name) // before Put moves the index
-	fp, created, err := s.Put(name, sources, w)
+	prevFP, _ := s.latestFingerprint(name) // before the index moves
+	j, err := prepare(name, sources, w)
 	if err != nil {
 		return nil, err
 	}
-	res := &UpdateResult{Fingerprint: fp, Created: created}
-	if blob, err := os.ReadFile(s.policyPath(fp)); err == nil {
-		if pp, err := policy.ImportJSON(blob); err == nil {
-			// Content already extracted: nothing to re-analyze.
-			res.Entries = len(pp.Entries)
-			res.Reused = res.Entries
-			return res, nil
-		}
-	}
-	var prev *oracle.Library
-	if prevFP != "" && prevFP != fp {
-		prev = s.loadIncrementalSeed(prevFP)
-	}
-	if err := s.extractUpdate(ctx, fp, name, sources, w, prev, res); err != nil {
+	fp := j.bundle.Fingerprint
+	created, err := s.writeBundle(j.bundle)
+	if err != nil {
 		return nil, err
 	}
+	if prevFP != fp {
+		j.prevFP = prevFP
+	}
+	// Join (or lead) fp's flight before the name index names fp, so a
+	// read the index move prompts, such as a reconcile tick, joins this
+	// extraction instead of starting a second one.
+	blob, c := s.join(ctx, fp, j)
+	if err := s.setLatestFingerprint(name, fp); err != nil {
+		if c != nil {
+			s.leave(fp, c, err)
+		}
+		return nil, err
+	}
+	var st *oracle.IncrementalStats
+	if c != nil {
+		if blob, err = s.wait(ctx, fp, c); err != nil {
+			return nil, err
+		}
+		st = c.stats
+	}
+	res := &UpdateResult{Fingerprint: fp, Created: created}
+	if st == nil {
+		// The blob was already stored: nothing to re-analyze.
+		pp, err := policy.ImportJSON(blob)
+		if err != nil {
+			return nil, fmt.Errorf("store: %w", err)
+		}
+		res.Entries = len(pp.Entries)
+		res.Reused = res.Entries
+		return res, nil
+	}
+	res.Incremental = !st.Full
+	res.Entries, res.Reused, res.Reanalyzed = st.Entries, st.Reused, st.Reanalyzed
 	return res, nil
 }
 
@@ -110,79 +133,4 @@ func (s *Store) loadIncrementalSeed(prevFP string) *oracle.Library {
 		return nil
 	}
 	return lib
-}
-
-// extractUpdate extracts fp's policies under the extraction semaphore,
-// incrementally from prev when possible, and persists blob + sidecar.
-func (s *Store) extractUpdate(ctx context.Context, fp, name string, sources map[string]string, w OptionsWire, prev *oracle.Library, res *UpdateResult) error {
-	opts, err := w.ToOracle()
-	if err != nil {
-		return fmt.Errorf("store: %w: %w", ErrInvalid, err)
-	}
-	opts.Parallel = s.parallel
-	opts.Telemetry = s.xm
-	opts.Summaries = s.sums
-	// Same reasoning as extractBundle: the store serves wire-format bytes
-	// and seeds from wire-format snapshots, so display data is never
-	// collected server-side (and must not be, or the option keys would
-	// never match the sidecar's).
-	opts.CollectPaths, opts.CollectGuards = false, false
-
-	queued := time.Now()
-	select {
-	case s.sem <- struct{}{}:
-		s.tm.QueueWait.ObserveDuration(time.Since(queued))
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	defer func() { <-s.sem }()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	s.extractions.Add(1)
-	s.tm.Extractions.Inc()
-	s.log.Info("store: update extraction start", "fingerprint", fp, "library", name,
-		"incremental", prev != nil)
-	start := time.Now()
-	var lib *oracle.Library
-	if prev != nil {
-		var st *oracle.IncrementalStats
-		lib, st, err = oracle.ExtractIncrementalContext(ctx, prev, sources, opts)
-		if err == nil {
-			res.Incremental = !st.Full
-			res.Entries, res.Reused, res.Reanalyzed = st.Entries, st.Reused, st.Reanalyzed
-		}
-	} else {
-		lib, err = oracle.LoadLibrary(name, sources)
-		if err == nil {
-			err = lib.ExtractContext(ctx, opts)
-		}
-		if err == nil {
-			res.Entries = len(lib.Policies.Entries)
-			res.Reanalyzed = res.Entries
-		}
-	}
-	elapsed := time.Since(start)
-	s.tm.ExtractDuration.ObserveDuration(elapsed)
-	if err != nil {
-		s.tm.ExtractFailures.Inc()
-		s.log.Warn("store: update extraction failed", "fingerprint", fp, "library", name,
-			"duration", elapsed, "err", err)
-		return fmt.Errorf("store: bundle %s: %w", fp, err)
-	}
-	blob, err := lib.Policies.ExportJSON()
-	if err != nil {
-		return fmt.Errorf("store: bundle %s: %w", fp, err)
-	}
-	if err := WriteAtomic(s.policyPath(fp), blob); err != nil {
-		return fmt.Errorf("store: persisting policies: %w", err)
-	}
-	s.writeIncrementalState(lib, fp)
-	s.mu.Lock()
-	s.noteEvictions(s.cache.add(fp, blob))
-	s.mu.Unlock()
-	s.log.Info("store: update extraction done", "fingerprint", fp, "library", name,
-		"duration", elapsed, "entries", res.Entries, "reused", res.Reused,
-		"reanalyzed", res.Reanalyzed)
-	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"policyoracle/internal/oracle"
 	"policyoracle/internal/telemetry"
 )
 
@@ -24,11 +25,11 @@ func TestCacheDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := s.Policies(fp)
+	blob, err := s.PoliciesContext(context.Background(), fp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := s.Policies(fp)
+	again, err := s.PoliciesContext(context.Background(), fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,9 +58,9 @@ func TestQueueWaitRecordedByLeaderOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	inner := s.extract
-	s.extract = func(ctx context.Context, b *Bundle) ([]byte, error) {
+	s.extract = func(ctx context.Context, j *job) ([]byte, error) {
 		time.Sleep(50 * time.Millisecond) // let every reader coalesce
-		return inner(ctx, b)
+		return inner(ctx, j)
 	}
 	const n = 8
 	var wg sync.WaitGroup
@@ -68,7 +69,7 @@ func TestQueueWaitRecordedByLeaderOnly(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = s.Policies(fp)
+			_, errs[i] = s.PoliciesContext(context.Background(), fp)
 		}(i)
 	}
 	wg.Wait()
@@ -86,9 +87,9 @@ func TestQueueWaitRecordedByLeaderOnly(t *testing.T) {
 }
 
 // When an in-flight result and a caller's cancellation race, the result
-// wins: wrappers on context.Background (Policies, PolicySet, Diff) pin
-// their waiter refcount on this, and a losing context caller must not
-// decrement a refcount the completion path already settled.
+// wins: callers on context.Background pin their waiter refcount on
+// this, and a losing context caller must not decrement a refcount the
+// completion path already settled.
 func TestWaitPrefersCompletedResult(t *testing.T) {
 	s := openTestStore(t, t.TempDir())
 	c := &flightCall{done: make(chan struct{}), cancel: func() {}, waiters: 1}
@@ -118,10 +119,10 @@ func TestMixedContextAndBackgroundWaiters(t *testing.T) {
 	inner := s.extract
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	s.extract = func(ctx context.Context, b *Bundle) ([]byte, error) {
+	s.extract = func(ctx context.Context, j *job) ([]byte, error) {
 		close(entered)
 		<-release
-		return inner(ctx, b)
+		return inner(ctx, j)
 	}
 
 	// Leader on a background context.
@@ -129,7 +130,7 @@ func TestMixedContextAndBackgroundWaiters(t *testing.T) {
 	var leaderBlob []byte
 	go func() {
 		var err error
-		leaderBlob, err = s.Policies(fp)
+		leaderBlob, err = s.PoliciesContext(context.Background(), fp)
 		leaderDone <- err
 	}()
 	<-entered
@@ -162,7 +163,7 @@ func TestMixedContextAndBackgroundWaiters(t *testing.T) {
 	var bgBlob []byte
 	go func() {
 		var err error
-		bgBlob, err = s.Policies(fp)
+		bgBlob, err = s.PoliciesContext(context.Background(), fp)
 		bgDone <- err
 	}()
 	live, cancelLive := context.WithCancel(context.Background())
@@ -239,7 +240,7 @@ func TestUpdateIncrementalFlow(t *testing.T) {
 
 	// The spliced blob matches what a cold store would extract from
 	// scratch for the same bundle.
-	blob, err := s.Policies(res2.Fingerprint)
+	blob, err := s.PoliciesContext(context.Background(), res2.Fingerprint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +252,7 @@ func TestUpdateIncrementalFlow(t *testing.T) {
 	if coldFP != res2.Fingerprint {
 		t.Fatalf("fingerprint drift: %s vs %s", coldFP, res2.Fingerprint)
 	}
-	want, err := cold.Policies(coldFP)
+	want, err := cold.PoliciesContext(context.Background(), coldFP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,6 +298,78 @@ func TestUpdateIncrementalAcrossReopen(t *testing.T) {
 	}
 }
 
+// An update and a read of the fingerprint it is extracting cost one
+// extraction: Update leads fp's single flight before the name index
+// names fp, so the read joins it instead of extracting the bundle again.
+// The only extraction slot is held until both calls are queued on it.
+func TestUpdateAndReadShareOneExtraction(t *testing.T) {
+	s, err := Open(Config{Dir: t.TempDir(), Parallel: 1, MaxInflight: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := s.Update(ctx, "a", testSources(), OptionsWire{}); err != nil {
+		t.Fatal(err)
+	}
+	v2 := map[string]string{"rt.mj": runtimeMJ, "lib.mj": libMJv2}
+	opts, err := OptionsWire{}.ToOracle()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := oracle.Fingerprint("a", v2, opts)
+	before := s.Stats().Extractions
+
+	// waiters polls fp's in-flight call for up to two seconds until it
+	// has n waiters, returning the last count seen.
+	waiters := func(n int) int {
+		deadline := time.Now().Add(2 * time.Second)
+		for {
+			s.mu.Lock()
+			w := 0
+			if c := s.flight[fp]; c != nil {
+				w = c.waiters
+			}
+			s.mu.Unlock()
+			if w >= n || time.Now().After(deadline) {
+				return w
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	s.sem <- struct{}{} // hold the only extraction slot
+	var res *UpdateResult
+	updDone := make(chan error, 1)
+	go func() {
+		var err error
+		res, err = s.Update(ctx, "a", v2, OptionsWire{})
+		updDone <- err
+	}()
+	if w := waiters(1); w != 1 {
+		t.Errorf("update registered no flight for %s (waiters = %d)", fp, w)
+	}
+	readDone := make(chan error, 1)
+	go func() {
+		_, err := s.PoliciesContext(ctx, fp)
+		readDone <- err
+	}()
+	if w := waiters(2); w != 2 {
+		t.Errorf("read did not join the update's flight (waiters = %d)", w)
+	}
+	<-s.sem
+	for _, ch := range []chan error{updDone, readDone} {
+		if err := <-ch; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.Stats().Extractions - before; got != 1 {
+		t.Errorf("update + racing read cost %d extractions, want 1", got)
+	}
+	if !res.Incremental || res.Reused == 0 {
+		t.Errorf("racing update result: %+v, want an incremental extraction", res)
+	}
+}
+
 // A missing or corrupt sidecar degrades to a full extraction, never an
 // error — losing incremental state costs time, not correctness.
 func TestUpdateFallsBackWithoutSidecar(t *testing.T) {
@@ -319,7 +392,7 @@ func TestUpdateFallsBackWithoutSidecar(t *testing.T) {
 	if res2.Reanalyzed != res2.Entries {
 		t.Errorf("fallback stats: %+v", res2)
 	}
-	if _, err := s.Policies(res2.Fingerprint); err != nil {
+	if _, err := s.PoliciesContext(context.Background(), res2.Fingerprint); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -343,15 +416,16 @@ func TestUpdateRejectsBadInput(t *testing.T) {
 	}
 }
 
-// The Policies read path also writes the sidecar, so a library first
-// seen via Put + Policies still updates incrementally afterwards.
+// The PoliciesContext read path also writes the sidecar, so a library
+// first seen via Put + PoliciesContext still updates incrementally
+// afterwards.
 func TestPutThenPoliciesSeedsLaterUpdate(t *testing.T) {
 	s := openTestStore(t, t.TempDir())
 	fp, _, err := s.Put("a", testSources(), OptionsWire{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Policies(fp); err != nil {
+	if _, err := s.PoliciesContext(context.Background(), fp); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(s.depsPath(fp)); err != nil {
